@@ -269,15 +269,10 @@ impl DynFd {
         // relation makes this atomic on rejection; the undo log makes it
         // reversible if steps 2–3 fail later.
         let (applied, undo) = self.rel.apply_batch_logged(batch)?;
-        // Select the intersection kernel for this batch. The toggle is
-        // process-global but observationally pure — every kernel
-        // produces identical output — so engines with different `simd`
-        // settings sharing the process only affect each other's speed.
-        dynfd_relation::kernel::set_simd_enabled(self.config.simd);
         let mut metrics = BatchMetrics {
             inserts: applied.inserted.len(),
             deletes: applied.deleted.len(),
-            kernel_lanes: dynfd_relation::kernel::active_kernel().lanes(),
+            kernel_lanes: dynfd_relation::kernel::detected_kernel().lanes(),
             ..BatchMetrics::default()
         };
 

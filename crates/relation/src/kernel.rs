@@ -6,9 +6,8 @@
 //! The primitive intersects two strictly-increasing `u32` *key* sequences
 //! and emits, for every common key, the `a`-side *payload* at that key's
 //! position. [`crate::intersect_clusters`] drives it with record ids as
-//! keys and arena slots as payloads; the validator's sampling prober and
-//! the PLI-cache refinement helpers reuse the same entry points, so every
-//! hot intersection in the system runs through one kernel.
+//! keys and arena slots as payloads, so every hot intersection in the
+//! system runs through one kernel.
 //!
 //! The block-compare algorithm is the classic rotation scheme for sorted
 //! u32 sets: load one L-lane block from each side, compare the `a` block
@@ -20,11 +19,10 @@
 //! finishes the sub-L tails.
 //!
 //! Selection is observationally pure: every kernel produces bit-identical
-//! output, so the `simd` config knob and the runtime-detected tier change
-//! throughput only. The equivalence proptests (in-crate and
-//! `tests/proptest_kernel.rs`) pin that contract.
+//! output, so the runtime-detected tier changes throughput only. The
+//! equivalence proptests (in-crate and `tests/proptest_kernel.rs`) pin
+//! that contract.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 /// Size ratio above which [`crate::intersect_clusters`] abandons the
@@ -51,7 +49,8 @@ pub const SIMD_MIN_LEN: usize = 16;
 /// stronger tiers require strictly more CPU features.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum KernelKind {
-    /// Portable scalar merge (also the non-x86_64 and `simd = false` path).
+    /// Portable scalar merge: the non-x86_64 path, the block kernels'
+    /// tail finisher, and the tests' reference.
     #[default]
     Scalar,
     /// 4-lane SSE2 block compare (x86_64 baseline, no detection needed).
@@ -81,24 +80,9 @@ impl KernelKind {
     }
 }
 
-/// Process-wide SIMD enable switch, driven by `DynFdConfig::simd`.
-///
-/// All kernels produce bit-identical output, so flipping this concurrently
-/// with running validations is harmless — it only changes which code path
-/// computes the same result.
-static SIMD_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables the SIMD paths process-wide (`simd` config knob).
-pub fn set_simd_enabled(enabled: bool) {
-    SIMD_ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether the SIMD paths are currently enabled.
-pub fn simd_enabled() -> bool {
-    SIMD_ENABLED.load(Ordering::Relaxed)
-}
-
-/// The strongest kernel this CPU supports, detected once at first use.
+/// The strongest kernel this CPU supports, detected once at first use —
+/// the kernel [`intersect_keyed`] and [`crate::intersect_clusters`]
+/// dispatch to.
 pub fn detected_kernel() -> KernelKind {
     static DETECTED: OnceLock<KernelKind> = OnceLock::new();
     *DETECTED.get_or_init(|| {
@@ -118,22 +102,12 @@ pub fn detected_kernel() -> KernelKind {
     })
 }
 
-/// The kernel calls actually dispatch to: the detected tier, or
-/// [`KernelKind::Scalar`] when SIMD is disabled by config.
-pub fn active_kernel() -> KernelKind {
-    if simd_enabled() {
-        detected_kernel()
-    } else {
-        KernelKind::Scalar
-    }
-}
-
 /// Intersects two strictly-increasing `u32` key sequences, pushing
 /// `a_vals[i]` (in key order) for every position `i` whose key also
 /// occurs in `b_keys`. `a_keys` and `a_vals` run in lockstep and must
 /// have equal length.
 pub fn intersect_keyed(a_keys: &[u32], a_vals: &[u32], b_keys: &[u32], out: &mut Vec<u32>) {
-    intersect_keyed_with(active_kernel(), a_keys, a_vals, b_keys, out);
+    intersect_keyed_with(detected_kernel(), a_keys, a_vals, b_keys, out);
 }
 
 /// [`intersect_keyed`] with an explicit kernel choice, clamped to what
@@ -409,10 +383,6 @@ mod tests {
         let d = detected_kernel();
         assert_eq!(d, detected_kernel());
         assert!(d >= KernelKind::Scalar);
-        set_simd_enabled(false);
-        assert_eq!(active_kernel(), KernelKind::Scalar);
-        set_simd_enabled(true);
-        assert_eq!(active_kernel(), d);
         assert_eq!(KernelKind::Scalar.lanes(), 1);
         assert!(d.lanes() >= 1);
     }

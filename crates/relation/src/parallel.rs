@@ -12,7 +12,7 @@
 //! Each worker owns one [`ValidatorScratch`], so per-job working memory
 //! is still allocation-free in the steady state.
 
-use crate::pli_cache::{CacheEffects, PliCache, PliCacheSnapshot};
+use crate::pli_cache::{CacheEffects, PliCache};
 use crate::relation::DynamicRelation;
 use crate::validate::{
     validate_cached, validate_with, ValidationOptions, ValidationResult, ValidatorScratch,
@@ -191,36 +191,14 @@ pub fn validate_many_cached(
     cache: &mut PliCache,
 ) -> Vec<ValidationResult> {
     let snapshot = cache.snapshot();
-    let (results, effects) =
-        validate_jobs_on_snapshot(rel, jobs, opts, threads, min_jobs, &snapshot);
-    cache.merge(&effects);
-    results
-}
-
-/// The compute half of [`validate_many_cached`]: validates `jobs`
-/// against a caller-held snapshot, returning results and *unmerged*
-/// per-job effects, both in job order.
-///
-/// The sampling-guided scheduler needs this split: it validates a level
-/// in several waves against **one** snapshot and merges all effects in
-/// original job order at the level barrier, which is exactly what makes
-/// the reordered run's cache state bit-identical to the unordered one.
-pub fn validate_jobs_on_snapshot(
-    rel: &DynamicRelation,
-    jobs: &[ValidationJob],
-    opts: &ValidationOptions,
-    threads: usize,
-    min_jobs: usize,
-    snapshot: &PliCacheSnapshot,
-) -> (Vec<ValidationResult>, Vec<CacheEffects>) {
     let workers = adaptive_workers(threads, jobs.len(), min_jobs).min(jobs.len());
 
-    if workers <= 1 {
+    let (results, effects) = if workers <= 1 {
         let mut scratch = ValidatorScratch::new();
         let mut results = Vec::with_capacity(jobs.len());
         let mut effects = Vec::with_capacity(jobs.len());
         for &(lhs, rhs) in jobs {
-            let (r, e) = validate_cached(rel, lhs, rhs, opts, &mut scratch, snapshot);
+            let (r, e) = validate_cached(rel, lhs, rhs, opts, &mut scratch, &snapshot);
             results.push(r);
             effects.push(e);
         }
@@ -235,6 +213,7 @@ pub fn validate_jobs_on_snapshot(
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     let cursor = &cursor;
+                    let snapshot = &snapshot;
                     scope.spawn(move || {
                         let mut scratch = ValidatorScratch::new();
                         let mut produced: Vec<(usize, (ValidationResult, CacheEffects))> =
@@ -269,7 +248,10 @@ pub fn validate_jobs_on_snapshot(
             // Invariant: as in `par_map`, the ranges partition the job list.
             .map(|slot| slot.expect("every job produced a result"))
             .unzip()
-    }
+    };
+
+    cache.merge(&effects);
+    results
 }
 
 #[cfg(test)]

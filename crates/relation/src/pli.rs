@@ -437,12 +437,12 @@ thread_local! {
 }
 
 /// Attempts the vectorized block-compare path. Returns `false` (having
-/// written nothing) when the active kernel is scalar, either side is too
-/// short to amortize the gather, or a record id does not fit in `u32`
-/// (the clusters are rid-sorted, so checking each side's last member
-/// bounds the whole slice).
+/// written nothing) when the CPU has no vectorized kernel, either side
+/// is too short to amortize the gather, or a record id does not fit in
+/// `u32` (the clusters are rid-sorted, so checking each side's last
+/// member bounds the whole slice).
 fn try_simd_intersect(a: &[u32], b: &[u32], slot_rids: &[RecordId], out: &mut Vec<u32>) -> bool {
-    let kind = kernel::active_kernel();
+    let kind = kernel::detected_kernel();
     if kind == kernel::KernelKind::Scalar
         || a.len() < kernel::SIMD_MIN_LEN
         || b.len() < kernel::SIMD_MIN_LEN
@@ -719,21 +719,15 @@ mod tests {
     }
 
     #[test]
-    fn simd_and_scalar_cluster_intersections_agree() {
-        // Comparable sizes above SIMD_MIN_LEN take the vectorized path
-        // when enabled; forcing scalar must not change a single slot.
+    fn vectorized_cluster_intersection_matches_reference() {
+        // Comparable sizes above SIMD_MIN_LEN take the detected
+        // vectorized kernel; it must not change a single slot.
         let rids = identity_rids(8192);
         let a: Vec<u32> = (0..8192).filter(|i| i % 2 == 0).collect();
         let b: Vec<u32> = (0..8192).filter(|i| i % 3 != 1).collect();
-        let mut simd_out = Vec::new();
-        kernel::set_simd_enabled(true);
-        intersect_clusters(&a, &b, &rids, &mut simd_out);
-        let mut scalar_out = Vec::new();
-        kernel::set_simd_enabled(false);
-        intersect_clusters(&a, &b, &rids, &mut scalar_out);
-        kernel::set_simd_enabled(true);
-        assert_eq!(simd_out, scalar_out);
-        assert_eq!(simd_out, reference_intersect(&a, &b, &rids));
+        let mut out = Vec::new();
+        intersect_clusters(&a, &b, &rids, &mut out);
+        assert_eq!(out, reference_intersect(&a, &b, &rids));
     }
 
     #[test]

@@ -156,6 +156,11 @@ fn throughput_metrics_accumulate_sensibly() {
         let r = dynfd.apply_batch(&b).unwrap();
         inserts += r.metrics.inserts;
         deletes += r.metrics.deletes;
+        assert_eq!(
+            r.metrics.kernel_lanes,
+            dynfd::relation::kernel::detected_kernel().lanes(),
+            "every batch reports the detected kernel"
+        );
     }
     let (ins_pct, del_pct, upd_pct) = data.change_mix();
     let n = data.changes.len() as f64;

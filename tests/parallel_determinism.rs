@@ -2,8 +2,8 @@
 //! any batch trace, running DynFD with `parallelism = 1` (the sequential
 //! code path, i.e. the pre-parallelism behavior) and with `parallelism =
 //! n > 1` must produce identical covers, identical per-batch FD deltas,
-//! and identical §5.2 violation annotations. Only wall-clock time may
-//! differ.
+//! identical §5.2 violation annotations, and identical validation-job
+//! and PLI-cache counters. Only wall-clock time may differ.
 
 use dynfd::common::{Fd, RecordId, Schema};
 use dynfd::core::{BatchResult, DynFd, DynFdConfig, SearchMode};
@@ -248,19 +248,33 @@ fn arb_script() -> impl Strategy<Value = Vec<ScriptOp>> {
 }
 
 fn arb_config() -> impl Strategy<Value = DynFdConfig> {
-    (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()).prop_map(
-        |(cluster, progressive, validation, dfs)| DynFdConfig {
-            cluster_pruning: cluster,
-            violation_search: if progressive {
-                SearchMode::Progressive
-            } else {
-                SearchMode::Naive
-            },
-            validation_pruning: validation,
-            depth_first_search: dfs,
-            ..DynFdConfig::default()
-        },
+    (
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
     )
+        .prop_map(
+            |(cluster, progressive, validation, dfs, cache, squeezed)| DynFdConfig {
+                cluster_pruning: cluster,
+                violation_search: if progressive {
+                    SearchMode::Progressive
+                } else {
+                    SearchMode::Naive
+                },
+                validation_pruning: validation,
+                depth_first_search: dfs,
+                pli_cache: cache,
+                // A 2 KiB budget forces evictions on these tiny relations.
+                pli_cache_bytes: if squeezed { 2048 } else { 16 << 20 },
+                // Let every level fan out, however small, so the worker
+                // count is exercised on each one.
+                parallel_min_jobs: 1,
+                ..DynFdConfig::default()
+            },
+        )
 }
 
 fn to_batches(script: &[ScriptOp], initial: usize, batch_size: usize) -> Vec<Batch> {
@@ -304,21 +318,32 @@ proptest! {
         script in arb_script(),
         batch_size in 1usize..7,
         config in arb_config(),
-        threads in 2usize..6,
+        mid_threads in 3usize..6,
     ) {
         let batches = to_batches(&script, initial.len(), batch_size);
         let seq = replay(&initial, &batches, DynFdConfig { parallelism: 1, ..config });
-        let par = replay(&initial, &batches, DynFdConfig { parallelism: threads, ..config });
-        prop_assert_eq!(seq.0.len(), par.0.len());
-        for (s, p) in seq.0.iter().zip(&par.0) {
-            prop_assert_eq!(&s.added, &p.added);
-            prop_assert_eq!(&s.removed, &p.removed);
-        }
-        prop_assert_eq!(&seq.1, &par.1, "annotations diverged ({} threads)", threads);
-        prop_assert_eq!(seq.2.positive_cover(), par.2.positive_cover());
-        prop_assert_eq!(seq.2.negative_cover(), par.2.negative_cover());
-        if let Err(e) = par.2.verify_consistency() {
-            return Err(TestCaseError::fail(format!("parallel run inconsistent: {e}")));
+        for threads in [2, mid_threads, 8] {
+            let par = replay(&initial, &batches, DynFdConfig { parallelism: threads, ..config });
+            prop_assert_eq!(seq.0.len(), par.0.len());
+            for (s, p) in seq.0.iter().zip(&par.0) {
+                prop_assert_eq!(&s.added, &p.added);
+                prop_assert_eq!(&s.removed, &p.removed);
+                // The job stream and the PLI-cache state are part of the
+                // deterministic contract too: one snapshot per level,
+                // effects merged back in job order.
+                let (sm, pm) = (&s.metrics, &p.metrics);
+                prop_assert_eq!(sm.fd_validations, pm.fd_validations, "{} threads", threads);
+                prop_assert_eq!(sm.cache_hits, pm.cache_hits, "{} threads", threads);
+                prop_assert_eq!(sm.cache_misses, pm.cache_misses, "{} threads", threads);
+                prop_assert_eq!(sm.cache_evictions, pm.cache_evictions, "{} threads", threads);
+                prop_assert_eq!(sm.cache_bytes, pm.cache_bytes, "{} threads", threads);
+            }
+            prop_assert_eq!(&seq.1, &par.1, "annotations diverged ({} threads)", threads);
+            prop_assert_eq!(seq.2.positive_cover(), par.2.positive_cover());
+            prop_assert_eq!(seq.2.negative_cover(), par.2.negative_cover());
+            if let Err(e) = par.2.verify_consistency() {
+                return Err(TestCaseError::fail(format!("parallel run inconsistent: {e}")));
+            }
         }
     }
 }

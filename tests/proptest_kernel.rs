@@ -2,8 +2,9 @@
 //! available kernel (scalar merge, SSE2, AVX2) computes the identical
 //! payload sequence for the identical key lists, across all lengths,
 //! alignments, densities, and tail shapes — and the cluster-level entry
-//! point `intersect_clusters` is invariant under the global SIMD
-//! toggle, including the u64-record-id overflow fallback.
+//! point `intersect_clusters`, dispatched to the detected kernel, agrees
+//! with an independent rid-keyed reference, including the
+//! u64-record-id overflow fallback.
 
 use dynfd::common::RecordId;
 use dynfd::relation::intersect_clusters;
@@ -11,10 +12,6 @@ use dynfd::relation::kernel::{
     self, intersect_keyed, intersect_keyed_with, KernelKind, GALLOP_RATIO, SIMD_MIN_LEN,
 };
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-/// Serializes tests that flip the process-global SIMD toggle.
-static TOGGLE: Mutex<()> = Mutex::new(());
 
 /// Every kernel the host CPU can run, weakest first.
 fn available_kinds() -> Vec<KernelKind> {
@@ -31,6 +28,18 @@ fn reference(a_keys: &[u32], a_vals: &[u32], b_keys: &[u32]) -> Vec<u32> {
         .zip(a_vals)
         .filter(|(k, _)| b_keys.contains(k))
         .map(|(_, v)| *v)
+        .collect()
+}
+
+/// Reference cluster intersection: the `a`-side slots whose record id
+/// occurs among the `b`-side slots' record ids, in `a` order.
+fn reference_slots(a: &[u32], b: &[u32], slot_rids: &[RecordId]) -> Vec<u32> {
+    a.iter()
+        .copied()
+        .filter(|&s| {
+            b.iter()
+                .any(|&t| slot_rids[t as usize] == slot_rids[s as usize])
+        })
         .collect()
 }
 
@@ -87,45 +96,33 @@ proptest! {
         }
     }
 
-    /// Cluster-level equivalence: `intersect_clusters` emits the same
-    /// rid-ordered slots with the SIMD kernel enabled and disabled, on
-    /// slot lists long enough to take the vectorized path and unbalanced
-    /// enough to take the galloping path.
+    /// Cluster-level equivalence: `intersect_clusters` emits the
+    /// reference's rid-ordered slots on slot lists long enough to take
+    /// the vectorized path and unbalanced enough to take the galloping
+    /// path.
     #[test]
     fn cluster_intersection_is_toggle_invariant(
         a in arb_keys(3 * SIMD_MIN_LEN, 256),
         b in arb_keys(3 * SIMD_MIN_LEN * GALLOP_RATIO, 256),
     ) {
-        let _guard = TOGGLE.lock().unwrap();
         let slot_rids: Vec<RecordId> = (0..256).map(|s| RecordId(s as u64 * 3 + 1)).collect();
-        let mut scalar = Vec::new();
-        let mut simd = Vec::new();
-        kernel::set_simd_enabled(false);
-        intersect_clusters(&a, &b, &slot_rids, &mut scalar);
-        kernel::set_simd_enabled(true);
-        intersect_clusters(&a, &b, &slot_rids, &mut simd);
-        kernel::set_simd_enabled(true);
-        prop_assert_eq!(scalar, simd);
+        let mut got = Vec::new();
+        intersect_clusters(&a, &b, &slot_rids, &mut got);
+        prop_assert_eq!(got, reference_slots(&a, &b, &slot_rids));
     }
 
     /// Record ids beyond u32 cannot be narrowed for the vectorized
-    /// kernel; the fallback must keep the output identical rather than
+    /// kernel; the fallback must keep the output exact rather than
     /// truncate.
     #[test]
     fn oversized_rids_stay_exact(
         a in arb_keys(2 * SIMD_MIN_LEN, 128),
         b in arb_keys(2 * SIMD_MIN_LEN, 128),
     ) {
-        let _guard = TOGGLE.lock().unwrap();
         let base = u32::MAX as u64 - 40;
         let slot_rids: Vec<RecordId> = (0..128).map(|s| RecordId(base + s as u64)).collect();
-        let mut scalar = Vec::new();
-        let mut simd = Vec::new();
-        kernel::set_simd_enabled(false);
-        intersect_clusters(&a, &b, &slot_rids, &mut scalar);
-        kernel::set_simd_enabled(true);
-        intersect_clusters(&a, &b, &slot_rids, &mut simd);
-        kernel::set_simd_enabled(true);
-        prop_assert_eq!(scalar, simd);
+        let mut got = Vec::new();
+        intersect_clusters(&a, &b, &slot_rids, &mut got);
+        prop_assert_eq!(got, reference_slots(&a, &b, &slot_rids));
     }
 }
