@@ -57,6 +57,6 @@ pub use pli_cache::{CacheEffects, CacheStats, CachedPartition, PliCache, PliCach
 pub use relation::{DynamicRelation, NullPolicy, RowRef, UndoLog, DEAD_RID, NO_SLOT};
 pub use rowstore::{validate_rowstore, RowStoreRelation};
 pub use validate::{
-    agree_set, validate, validate_cached, validate_fd, validate_with, RhsOutcome,
-    ValidationOptions, ValidationResult, ValidationStats, ValidatorScratch,
+    agree_set, agree_set_at_slots, validate, validate_cached, validate_fd, validate_with,
+    RhsOutcome, ValidationOptions, ValidationResult, ValidationStats, ValidatorScratch,
 };

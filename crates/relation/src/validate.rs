@@ -697,15 +697,20 @@ pub fn validate_fd(rel: &DynamicRelation, fd: &Fd, opts: &ValidationOptions) -> 
 /// same value. For any attribute `y` outside the agree set `X`, the pair
 /// witnesses the non-FD `X -> y` (paper Section 4.3).
 pub fn agree_set(rel: &DynamicRelation, a: RecordId, b: RecordId) -> Option<AttrSet> {
-    let ra = rel.compressed(a)?;
-    let rb = rel.compressed(b)?;
+    Some(agree_set_at_slots(rel, rel.slot_of(a)?, rel.slot_of(b)?))
+}
+
+/// [`agree_set`] for two known-live arena slots, skipping the record-id
+/// lookups (for callers that already hold slots, such as PLI clusters).
+pub fn agree_set_at_slots(rel: &DynamicRelation, a: u32, b: u32) -> AttrSet {
+    let (ra, rb) = (rel.row_at_slot(a), rel.row_at_slot(b));
     let mut set = AttrSet::empty();
     for (attr, (x, y)) in ra.iter().zip(rb.iter()).enumerate() {
         if x == y {
             set.insert(attr);
         }
     }
-    Some(set)
+    set
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 mod sampler;
 mod validator;
 
-pub use sampler::Sampler;
+use sampler::Sampler;
 
 use dynfd_lattice::{induce_from_negative_cover, FdTree};
 use dynfd_relation::DynamicRelation;
@@ -88,7 +88,7 @@ pub fn discover_with(rel: &DynamicRelation, cfg: &HyFdConfig) -> HyFdOutput {
     // Phase 1: initial sampling builds a first negative cover.
     let mut neg = FdTree::new();
     let mut sampler = Sampler::new(rel);
-    sampler.run(rel, &mut neg, cfg.sampling_efficiency_threshold, &mut stats);
+    sampler.run(&mut neg, cfg.sampling_efficiency_threshold, &mut stats);
 
     // Phase 2: induce candidates and validate level-wise, switching back
     // to sampling when the traversal becomes inefficient.

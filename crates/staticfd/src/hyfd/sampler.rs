@@ -9,58 +9,71 @@
 //! the attribute whose last round produced the most new non-FDs per
 //! comparison runs next, until the best efficiency falls below a
 //! threshold.
+//!
+//! Like the reference HyFD, the sampler folds each *distinct* agree set
+//! into the negative cover once: a round compares ~10⁵ pairs but yields
+//! only tens of distinct agree sets, and a repeat can add nothing.
 
 use super::HyFdStats;
-use dynfd_common::{AttrSet, RecordId};
+use dynfd_common::AttrSet;
 use dynfd_lattice::FdTree;
-use dynfd_relation::{agree_set, DynamicRelation};
+use dynfd_relation::{agree_set_at_slots, DynamicRelation};
+use std::collections::HashSet;
 
 /// Progressive cluster-window sampler.
+///
+/// It borrows its relation for its whole life, so the arena slots it
+/// holds cannot be freed or reused while it exists.
 #[derive(Clone, Debug)]
-pub struct Sampler {
-    /// Per attribute: its non-singleton clusters, members sorted by
-    /// compressed signature (similarity sort).
-    clusters: Vec<Vec<Vec<RecordId>>>,
+pub(crate) struct Sampler<'a> {
+    rel: &'a DynamicRelation,
+    /// Per attribute: its non-singleton clusters as arena slots, members
+    /// sorted by compressed signature (similarity sort).
+    clusters: Vec<Vec<Vec<u32>>>,
     /// Per attribute: the next window distance to run (1-based).
     window: Vec<usize>,
     /// Per attribute: efficiency of the last round (`f64::INFINITY`
     /// before the first round, `-1.0` when exhausted).
     efficiency: Vec<f64>,
+    /// Every agree set already folded into the negative cover, across
+    /// all runs (membership only, never iterated).
+    seen: HashSet<AttrSet>,
 }
 
-impl Sampler {
+impl<'a> Sampler<'a> {
     /// Prepares the sampler: snapshots and similarity-sorts the PLI
     /// clusters of every attribute.
-    pub fn new(rel: &DynamicRelation) -> Self {
+    pub(crate) fn new(rel: &'a DynamicRelation) -> Self {
         let arity = rel.arity();
         let mut clusters = Vec::with_capacity(arity);
         for a in 0..arity {
-            let mut per_attr: Vec<Vec<RecordId>> = Vec::new();
+            let mut per_attr: Vec<Vec<u32>> = Vec::new();
             for (_, cluster) in rel.pli(a).iter_non_singleton() {
-                // Clusters hold arena slots; the sampler works on record
-                // ids (stable across slot churn while it runs).
-                let mut c: Vec<RecordId> = cluster.iter().map(|&s| rel.rid_at_slot(s)).collect();
+                // Slots stay valid because the sampler borrows `rel` for
+                // its whole life. Clusters arrive in record-id order and
+                // the sort is stable, so ties (identical records) stay in
+                // record-id order.
+                let mut c = cluster.to_vec();
                 // Similarity sort: lexicographic by compressed record
                 // brings records with many common values next to each
                 // other, making window-1 neighbors high-yield pairs.
-                c.sort_by(|&x, &y| {
-                    rel.compressed(x)
-                        .expect("live")
-                        .cmp(&rel.compressed(y).expect("live"))
-                });
+                c.sort_by(|&x, &y| rel.row_at_slot(x).cmp(&rel.row_at_slot(y)));
                 per_attr.push(c);
             }
             clusters.push(per_attr);
         }
         Sampler {
+            rel,
             window: vec![1; arity],
             efficiency: vec![f64::INFINITY; arity],
             clusters,
+            seen: HashSet::new(),
         }
     }
 
     /// Whether any attribute still has rounds to run.
-    pub fn exhausted(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn exhausted(&self) -> bool {
         self.efficiency.iter().all(|&e| e < 0.0)
     }
 
@@ -69,13 +82,19 @@ impl Sampler {
     /// non-FDs are inserted into `neg`; the distinct agree sets that
     /// contributed at least one new cover entry are returned so the
     /// caller can mirror them into a positive cover under maintenance.
-    pub fn run(
+    ///
+    /// Between runs `neg` may change only through
+    /// [`FdTree::add_maximal_evicting`]. That call never drops a
+    /// specialization without storing a larger one, so once an agree set
+    /// is folded, every `agree -> y` stays covered and a repeat of it is
+    /// skipped without changing any result.
+    pub(crate) fn run(
         &mut self,
-        rel: &DynamicRelation,
         neg: &mut FdTree,
         threshold: f64,
         stats: &mut HyFdStats,
     ) -> Vec<AttrSet> {
+        let rel = self.rel;
         let arity = rel.arity();
         let mut fresh: Vec<AttrSet> = Vec::new();
         // An infinite threshold disables sampling outright (used to force
@@ -108,12 +127,19 @@ impl Sampler {
                     continue;
                 }
                 window_applies = true;
-                for i in 0..cluster.len() - dist {
-                    let (x, y) = (cluster[i], cluster[i + dist]);
+                for (&x, &y) in cluster.iter().zip(&cluster[dist..]) {
                     comparisons += 1;
-                    let agree = agree_set(rel, x, y).expect("live records");
+                    let agree = agree_set_at_slots(rel, x, y);
                     if agree.len() == arity {
                         continue; // duplicate records witness nothing
+                    }
+                    if !self.seen.insert(agree) {
+                        debug_assert!(
+                            (0..arity).all(|rhs| agree.contains(rhs)
+                                || neg.contains_specialization(agree, rhs)),
+                            "a folded agree set {agree:?} lost its negative-cover entries"
+                        );
+                        continue;
                     }
                     let mut contributed = false;
                     for rhs in 0..arity {
@@ -137,8 +163,9 @@ impl Sampler {
                 new_non_fds as f64 / comparisons as f64
             };
         }
+        // Each agree set is folded at most once, so `fresh` has no
+        // duplicates; sort it to keep the caller's order canonical.
         fresh.sort_unstable();
-        fresh.dedup();
         fresh
     }
 }
@@ -157,7 +184,7 @@ mod tests {
         let mut sampler = Sampler::new(&rel);
         let mut neg = FdTree::new();
         let mut stats = HyFdStats::default();
-        sampler.run(&rel, &mut neg, 0.0, &mut stats);
+        sampler.run(&mut neg, 0.0, &mut stats);
         assert!(stats.comparisons > 0);
         assert!(!neg.is_empty());
         // Every entry of the negative cover must be a genuine non-FD.
@@ -175,7 +202,7 @@ mod tests {
         let mut sampler = Sampler::new(&rel);
         let mut neg = FdTree::new();
         let mut stats = HyFdStats::default();
-        sampler.run(&rel, &mut neg, 0.0, &mut stats);
+        sampler.run(&mut neg, 0.0, &mut stats);
         assert!(sampler.exhausted());
         // With every in-cluster pair compared, the negative cover is the
         // full FDEP cover restricted to pairs sharing a value — for this
@@ -195,7 +222,7 @@ mod tests {
         let mut sampler = Sampler::new(&rel);
         let mut neg = FdTree::new();
         let mut stats = HyFdStats::default();
-        let fresh = sampler.run(&rel, &mut neg, f64::INFINITY, &mut stats);
+        let fresh = sampler.run(&mut neg, f64::INFINITY, &mut stats);
         assert_eq!(stats.comparisons, 0);
         assert!(neg.is_empty());
         assert!(fresh.is_empty());
@@ -207,7 +234,7 @@ mod tests {
         let mut sampler = Sampler::new(&rel);
         let mut neg = FdTree::new();
         let mut stats = HyFdStats::default();
-        let fresh = sampler.run(&rel, &mut neg, 0.0, &mut stats);
+        let fresh = sampler.run(&mut neg, 0.0, &mut stats);
         let mut dedup = fresh.clone();
         dedup.dedup();
         assert_eq!(fresh, dedup);

@@ -37,7 +37,7 @@ pub(super) fn validate_cover(
     rel: &DynamicRelation,
     fds: &mut FdTree,
     neg: &mut FdTree,
-    sampler: &mut Sampler,
+    sampler: &mut Sampler<'_>,
     cfg: &HyFdConfig,
     stats: &mut HyFdStats,
 ) {
@@ -80,7 +80,7 @@ pub(super) fn validate_cover(
         // violations than per-candidate validation.
         if total > 0 && invalid as f64 / total as f64 > cfg.invalid_ratio_switch {
             stats.switches += 1;
-            let fresh = sampler.run(rel, neg, cfg.sampling_efficiency_threshold, stats);
+            let fresh = sampler.run(neg, cfg.sampling_efficiency_threshold, stats);
             for agree in fresh {
                 for y in 0..arity {
                     if !agree.contains(y) {
